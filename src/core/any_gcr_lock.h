@@ -57,7 +57,7 @@ class GcrLockAdapter final : public AnyGcrLock {
     return const_cast<LockAdapter<P, Wrapped>&>(base_).impl();
   }
 
-  // Reuses LockAdapter's per-context handle pooling; the GCR surface reaches
+  // Reuses LockAdapter's held-lock bookkeeping; the GCR surface reaches
   // through to the wrapped lock via impl().
   LockAdapter<P, Wrapped> base_;
 };

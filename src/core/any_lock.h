@@ -6,19 +6,19 @@
 // mutex lock API", selectable at run time so any benchmark can be pointed at
 // any lock.  Queue-node management (the per-thread preallocated nodes the
 // paper describes in Section 5) is hidden behind this interface: each
-// execution context (thread or simulated CPU) keeps a small LIFO pool of
-// handles per lock instance, mirroring the kernel's 4 statically preallocated
+// execution context (thread or simulated CPU) lends nodes from its held-lock
+// record (locks/held_locks.h), mirroring the kernel's statically preallocated
 // nodes per CPU.
 #ifndef CNA_CORE_ANY_LOCK_H_
 #define CNA_CORE_ANY_LOCK_H_
 
-#include <array>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "locks/held_locks.h"
 #include "locks/lock_api.h"
 #include "telemetry/lockdep.h"
 
@@ -41,19 +41,6 @@ class AnyLock {
   virtual std::string Name() const = 0;
 };
 
-namespace internal {
-
-// Per-execution-context handle pool for one adapter instance.  Slots are
-// indexed by P::CpuId() (dense thread id on hardware, simulated CPU id in the
-// simulator); each slot is only ever touched by its own context.
-template <typename L>
-struct HandleStack {
-  std::vector<std::unique_ptr<typename L::Handle>> free;
-  std::vector<std::unique_ptr<typename L::Handle>> active;
-};
-
-}  // namespace internal
-
 template <typename P, locks::Lockable L>
 class LockAdapter final : public AnyLock {
  public:
@@ -62,16 +49,7 @@ class LockAdapter final : public AnyLock {
         lockdep_cls_(telemetry::lockdep::InternClass("mutex/" + name_)) {}
 
   void Lock() override {
-    auto& stack = StackForThisContext();
-    std::unique_ptr<typename L::Handle> h;
-    if (!stack.free.empty()) {
-      h = std::move(stack.free.back());
-      stack.free.pop_back();
-    } else {
-      h = std::make_unique<typename L::Handle>();
-    }
-    impl_.Lock(*h);
-    stack.active.push_back(std::move(h));
+    impl_.Lock(*HeldHere().Push(&impl_, /*shared=*/false).node);
     if (telemetry::lockdep::Enabled()) {
       static const int site = telemetry::lockdep::InternSite("AnyLock::Lock");
       telemetry::lockdep::OnAcquired(
@@ -82,30 +60,22 @@ class LockAdapter final : public AnyLock {
   }
 
   void Unlock() override {
-    auto& stack = StackForThisContext();
-    if (stack.active.empty()) {
+    Held& held = HeldHere();
+    typename Held::Entry* e = held.Find(&impl_, /*shared=*/false);
+    if (e == nullptr) {
       throw std::logic_error("AnyLock::Unlock without matching Lock");
     }
     telemetry::lockdep::OnReleased(P::CpuId(), lockdep_cls_,
                                    reinterpret_cast<std::uintptr_t>(&impl_));
-    auto h = std::move(stack.active.back());
-    stack.active.pop_back();
-    impl_.Unlock(*h);
-    stack.free.push_back(std::move(h));
+    impl_.Unlock(*e->node);
+    held.Erase(e);
   }
 
   bool TryLock() override {
     if constexpr (locks::TryLockable<L>) {
-      auto& stack = StackForThisContext();
-      std::unique_ptr<typename L::Handle> h;
-      if (!stack.free.empty()) {
-        h = std::move(stack.free.back());
-        stack.free.pop_back();
-      } else {
-        h = std::make_unique<typename L::Handle>();
-      }
-      if (impl_.TryLock(*h)) {
-        stack.active.push_back(std::move(h));
+      Held& held = HeldHere();
+      typename Held::Entry& e = held.Push(&impl_, /*shared=*/false);
+      if (impl_.TryLock(*e.node)) {
         if (telemetry::lockdep::Enabled()) {
           static const int site =
               telemetry::lockdep::InternSite("AnyLock::TryLock");
@@ -116,7 +86,7 @@ class LockAdapter final : public AnyLock {
         }
         return true;
       }
-      stack.free.push_back(std::move(h));
+      held.Erase(&e);
       return false;
     } else {
       return false;
@@ -130,19 +100,15 @@ class LockAdapter final : public AnyLock {
   L& impl() { return impl_; }
 
  private:
-  static constexpr std::size_t kMaxContexts = 1024;
+  using Held = locks::HeldLocks<typename L::Handle>;
 
-  internal::HandleStack<L>& StackForThisContext() {
-    const auto cpu = static_cast<std::size_t>(P::CpuId()) % kMaxContexts;
-    return stacks_[cpu];
-  }
+  // This context's held-lock record, shared with every table over the same
+  // handle type (locks/held_locks.h).
+  static Held& HeldHere() { return P::template PerContext<Held>(); }
 
   L impl_;
   std::string name_;
   int lockdep_cls_;  // one class per adapter kind ("mutex/<name>")
-  // Indexed by context id; each slot is single-owner, so no synchronization
-  // beyond construction is needed.
-  std::array<internal::HandleStack<L>, kMaxContexts> stacks_{};
 };
 
 }  // namespace cna::core

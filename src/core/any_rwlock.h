@@ -2,21 +2,19 @@
 // any_lock.h, behind the pthread_rwlock shape (rdlock/wrlock/unlock) so the
 // registry and the C API can hand out NUMA-aware rwlocks by name.
 //
-// Handle management follows LockAdapter: each execution context keeps LIFO
-// pools of handles, one per mode.  The unified Unlock() (pthread_rwlock_
-// unlock semantics) releases the most recent acquisition, preferring the
-// exclusive stack -- within one context an exclusive section can never be
-// nested inside a shared section of the same lock (that would self-deadlock),
-// so the preference is unambiguous.
+// Handle management follows LockAdapter: each execution context's held-lock
+// record lends the node and tags the hold with its mode.  The unified
+// Unlock() (pthread_rwlock_unlock semantics) releases the exclusive hold if
+// there is one, else the newest shared hold -- within one context an
+// exclusive section can never be nested inside a shared section of the same
+// lock (that would self-deadlock), so the preference is unambiguous.
 #ifndef CNA_CORE_ANY_RWLOCK_H_
 #define CNA_CORE_ANY_RWLOCK_H_
 
-#include <array>
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/any_lock.h"
 #include "locks/lock_api.h"
@@ -50,67 +48,57 @@ class RwLockAdapter final : public AnyRwLock {
   explicit RwLockAdapter(std::string name) : name_(std::move(name)) {}
 
   void Lock() override {
-    auto& stack = ExclusiveStack();
-    auto h = CheckOut(stack);
-    impl_.Lock(*h);
-    stack.active.push_back(std::move(h));
+    impl_.Lock(*HeldHere().Push(&impl_, /*shared=*/false).node);
   }
 
   bool TryLock() override {
-    auto& stack = ExclusiveStack();
-    auto h = CheckOut(stack);
-    if (impl_.TryLock(*h)) {
-      stack.active.push_back(std::move(h));
+    Held& held = HeldHere();
+    typename Held::Entry& e = held.Push(&impl_, /*shared=*/false);
+    if (impl_.TryLock(*e.node)) {
       return true;
     }
-    stack.free.push_back(std::move(h));
+    held.Erase(&e);
     return false;
   }
 
   void LockShared() override {
-    auto& stack = SharedStack();
-    auto h = CheckOut(stack);
-    impl_.LockShared(*h);
-    stack.active.push_back(std::move(h));
+    impl_.LockShared(*HeldHere().Push(&impl_, /*shared=*/true).node);
   }
 
   bool TryLockShared() override {
     static_assert(locks::SharedTryLockable<L>);
-    auto& stack = SharedStack();
-    auto h = CheckOut(stack);
-    if (impl_.TryLockShared(*h)) {
-      stack.active.push_back(std::move(h));
+    Held& held = HeldHere();
+    typename Held::Entry& e = held.Push(&impl_, /*shared=*/true);
+    if (impl_.TryLockShared(*e.node)) {
       return true;
     }
-    stack.free.push_back(std::move(h));
+    held.Erase(&e);
     return false;
   }
 
   void Unlock() override {
-    auto& stack = ExclusiveStack();
-    if (stack.active.empty()) {
+    Held& held = HeldHere();
+    typename Held::Entry* e = held.Find(&impl_, /*shared=*/false);
+    if (e == nullptr) {
       throw std::logic_error("AnyRwLock::Unlock without matching Lock");
     }
-    auto h = std::move(stack.active.back());
-    stack.active.pop_back();
-    impl_.Unlock(*h);
-    stack.free.push_back(std::move(h));
+    impl_.Unlock(*e->node);
+    held.Erase(e);
   }
 
   void UnlockShared() override {
-    auto& stack = SharedStack();
-    if (stack.active.empty()) {
+    Held& held = HeldHere();
+    typename Held::Entry* e = held.Find(&impl_, /*shared=*/true);
+    if (e == nullptr) {
       throw std::logic_error(
           "AnyRwLock::UnlockShared without matching LockShared");
     }
-    auto h = std::move(stack.active.back());
-    stack.active.pop_back();
-    impl_.UnlockShared(*h);
-    stack.free.push_back(std::move(h));
+    impl_.UnlockShared(*e->node);
+    held.Erase(e);
   }
 
   void UnlockAny() override {
-    if (!ExclusiveStack().active.empty()) {
+    if (HeldHere().Find(&impl_, /*shared=*/false) != nullptr) {
       Unlock();
     } else {
       UnlockShared();
@@ -123,30 +111,13 @@ class RwLockAdapter final : public AnyRwLock {
   L& impl() { return impl_; }
 
  private:
-  static constexpr std::size_t kMaxContexts = 1024;
+  using Held = locks::HeldLocks<typename L::Handle>;
 
-  using Stack = internal::HandleStack<L>;
-
-  static std::unique_ptr<typename L::Handle> CheckOut(Stack& stack) {
-    if (!stack.free.empty()) {
-      auto h = std::move(stack.free.back());
-      stack.free.pop_back();
-      return h;
-    }
-    return std::make_unique<typename L::Handle>();
-  }
-
-  Stack& ExclusiveStack() {
-    return excl_stacks_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];
-  }
-  Stack& SharedStack() {
-    return shared_stacks_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];
-  }
+  // This context's held-lock record (see LockAdapter::HeldHere).
+  static Held& HeldHere() { return P::template PerContext<Held>(); }
 
   L impl_;
   std::string name_;
-  std::array<Stack, kMaxContexts> excl_stacks_{};
-  std::array<Stack, kMaxContexts> shared_stacks_{};
 };
 
 }  // namespace cna::core

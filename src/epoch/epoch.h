@@ -7,7 +7,7 @@
 // stripe array through an atomic pointer and must eventually free the old one
 // while late readers may still be hashing through it -- but the subsystem is
 // standalone: any P::Atomic-published immutable snapshot can be retired
-// through it (handle_pool.h retires whole handle slabs the same way).
+// through it.
 //
 // The scheme is classic three-epoch EBR (Fraser), with the state laid out the
 // way this codebase lays out every hot distributed indicator (cf. CnaRwLock's
@@ -324,14 +324,6 @@ class Domain {
     return out;
   }
 
-  // Process-wide domain for this platform: the retire target for state whose
-  // owner has no domain of its own (handle_pool.h slab arenas).  Items left
-  // pending at process exit are freed by the static destructor.
-  static Domain& Global() {
-    static Domain domain;
-    return domain;
-  }
-
  private:
   // Slot word layout: [epoch : 47][valid : 1][depth : 16].
   static constexpr int kDepthBits = 16;
@@ -354,7 +346,7 @@ class Domain {
   };
 
   // One line of pin state plus this slot's retire list.  The list is guarded
-  // by a plain TAS (HandlePool's SlotGuard pattern): it is context-private
+  // by a plain TAS (slots alias past kSlots contexts): it is context-private
   // in the common case, the guard is never held across a yield point, and
   // being a plain std::atomic_flag it costs the simulator nothing.
   struct alignas(kCacheLineSize) Slot {

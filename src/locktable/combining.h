@@ -21,8 +21,9 @@
 //
 // Mechanics:
 //  * Per stripe, a Treiber-style push-only publication list of Records.
-//    Records are pooled per execution context by the same HandlePool that
-//    pools queue-lock nodes, so steady-state publication allocates nothing.
+//    Records are lent by the context's held-lock record (locks/
+//    held_locks.h), the same structure that lends queue-lock nodes, so
+//    steady-state publication allocates nothing.
 //  * A waiter that fails the stripe try-lock publishes a record, makes one
 //    help attempt (if the stripe is free it becomes the combiner and serves
 //    itself), and then spins only on its own record's state word -- it never
@@ -75,8 +76,8 @@
 #include <vector>
 
 #include "base/cacheline.h"
+#include "locks/held_locks.h"
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
 #include "locktable/lock_table.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
@@ -259,7 +260,7 @@ class CombiningTable {
 
   // Completion handle for one Submit.  Move-only; Wait()/Ready()/~Future
   // must run on the submitting thread (the record returns to that thread's
-  // pool slot).  The destructor waits if the caller never did.
+  // held-lock record).  The destructor waits if the caller never did.
   class Future {
    public:
     Future(Future&& o) noexcept
@@ -303,8 +304,7 @@ class CombiningTable {
         return;
       }
       table_->AwaitRecord(stripe_, rec_);
-      table_->record_pool_.Recycle(
-          table_->record_pool_.DetachExact(stripe_, rec_));
+      table_->ReleaseRecord(rec_);
       table_ = nullptr;
     }
 
@@ -318,7 +318,7 @@ class CombiningTable {
   // through the Future.
   Future Submit(std::uint64_t key, std::function<void()> fn) {
     const std::size_t s = StripeOf(key);
-    Record& r = record_pool_.Checkout(s);
+    Record& r = *Records().Push(&pub_[s], /*shared=*/false).node;
     r.socket = P::CurrentSocket();
     r.invoke = nullptr;
     r.ctx = nullptr;
@@ -386,10 +386,8 @@ class CombiningTable {
 
   // Records this context currently has outstanding (tests/diagnostics).
   std::size_t PendingInThisContext() const {
-    return record_pool_.ActiveInThisContext();
-  }
-  std::size_t PooledRecordsInThisContext() const {
-    return record_pool_.PooledInThisContext();
+    return Records().CountIn(&pub_[0], &pub_[table_.stripes() - 1],
+                             /*shared=*/false);
   }
 
  private:
@@ -399,11 +397,26 @@ class CombiningTable {
     typename P::template Atomic<Record*> head{nullptr};
   };
 
-  // Adapter so the record pool reuses HandlePool verbatim (it only consumes
-  // the nested Handle type).
-  struct RecordBinder {
-    using Handle = Record;
-  };
+  // This context's outstanding records, keyed by their stripe's
+  // publication head.
+  using RecordHolds = locks::HeldLocks<Record>;
+  static RecordHolds& Records() {
+    return P::template PerContext<RecordHolds>();
+  }
+
+  // Returns a completed record of this context to its held-lock record.
+  // Exactly that record: a context's futures on one stripe may complete in
+  // any order.
+  void ReleaseRecord(Record* r) {
+    RecordHolds& records = Records();
+    typename RecordHolds::Entry* e = records.FindNode(r);
+    if (e == nullptr) {
+      throw std::logic_error(
+          "locktable::CombiningTable: detach of a record this context does "
+          "not hold");
+    }
+    records.Erase(e);
+  }
 
   template <typename F>
   void ApplyStripeImpl(std::size_t s, F&& fn) {
@@ -416,11 +429,11 @@ class CombiningTable {
       (*static_cast<std::remove_reference_t<F>*>(c))();
     }, std::addressof(fn));
     AwaitRecord(s, &r);
-    record_pool_.Recycle(record_pool_.DetachExact(s, &r));
+    ReleaseRecord(&r);
   }
 
   Record& PublishRecord(std::size_t s, void (*invoke)(void*), void* ctx) {
-    Record& r = record_pool_.Checkout(s);
+    Record& r = *Records().Push(&pub_[s], /*shared=*/false).node;
     r.socket = P::CurrentSocket();
     r.invoke = invoke;
     r.ctx = ctx;
@@ -603,7 +616,6 @@ class CombiningTable {
   Table table_;
   std::size_t budget_;
   std::unique_ptr<PubStripe[]> pub_;
-  HandlePool<P, RecordBinder> record_pool_;
   CombiningStats cstats_;
   std::unique_ptr<CombiningLatency> lat_;  // null unless collect_latency
 };

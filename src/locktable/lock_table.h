@@ -12,8 +12,10 @@
 // cache lines per stripe, two orders of magnitude more.
 //
 // Surface:
-//  * Lock(key)/TryLock(key)/Unlock(key) -- handle-free locking; per-context
-//    handle pools (handle_pool.h) check queue nodes in and out internally.
+//  * Lock(key)/TryLock(key)/Unlock(key) -- handle-free locking; each
+//    context's held-lock record (locks/held_locks.h) lends the queue node and
+//    remembers the hold, so Unlock(key) of an unheld stripe is a checked
+//    error.
 //  * Guard        -- RAII single-key critical section.
 //  * MultiGuard   -- acquires several keys' stripes in ascending stripe order
 //    (deduplicated), giving deadlock-free multi-key transactions; releases in
@@ -38,8 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "locks/held_locks.h"
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
 #include "locktable/stripe_array.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
@@ -66,7 +68,9 @@ struct LockTableOptions {
   std::uint32_t stats_probe_period = 1;
   // Acquisition/hold latency telemetry: registers "<metrics_name>.wait_ns"
   // and "<metrics_name>.hold_ns" histograms in the global telemetry registry
-  // (src/telemetry/) and records into them whenever telemetry::Enabled().
+  // (src/telemetry/) and records into them whenever telemetry::Enabled():
+  // one wait sample per blocking acquisition, one hold sample per timed hold
+  // (the acquire stamp rides in the context's held-lock entry).
   // Off by default: the lock path carries no timing code.  nullptr picks the
   // table flavor's default prefix ("locktable", "rwtable", "combining").
   bool collect_latency = false;
@@ -87,6 +91,7 @@ class LockTable {
  public:
   using LockType = L;
   using Handle = typename L::Handle;
+  using Held = locks::HeldLocks<Handle>;
 
   // Upper bound on the namespace (see StripeArray).
   static constexpr std::size_t kMaxStripes = StripeArray<L>::kMaxStripes;
@@ -154,43 +159,45 @@ class LockTable {
   bool TryLockStripe(std::size_t s) {
     static_assert(locks::TryLockable<L>,
                   "TryLock requires a lock with a try-lock path");
-    Handle& h = pool_.Checkout(s);
-    if (StripeLock(s).TryLock(h)) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry& e = held.Push(&lock, /*shared=*/false);
+    if (lock.TryLock(*e.node)) {
       stats_.OnAcquire(s, /*was_contended=*/false, /*multi_key=*/false);
       if (lat_ != nullptr && telemetry::Enabled()) {
-        lat_->tracker.Push(P::CpuId(), s, telemetry::NowNs());
+        e.acquire_ns = telemetry::NowNs();
       }
       LockdepAcquired(s, /*trylock=*/true, /*multi_key=*/false, 0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    pool_.Recycle(pool_.Detach(s));
+    held.Erase(&e);
     return false;
   }
 
   void UnlockStripe(std::size_t s) {
-    RecordHold(s);
-    LockdepReleased(s);
-    Handle* h = pool_.Detach(s);
-    StripeLock(s).Unlock(*h);
-    pool_.Recycle(h);
-    UnparkAfterRelease(s);
+    if (!TryUnlockStripe(s)) {
+      throw std::logic_error(
+          "locktable::LockTable: unlock of a stripe this context does not "
+          "hold");
+    }
   }
 
   // UnlockStripe() that reports "not held by this context" as false instead
-  // of throwing -- ownership check and release in ONE pass over the pool's
-  // active list, for callers that must probe several tables for the holder
+  // of throwing, for callers that must probe several tables for the holder
   // (the resizable table's Unlock walking current snapshot then migration
   // predecessor).
   bool TryUnlockStripe(std::size_t s) {
-    Handle* h = pool_.TryDetach(s);
-    if (h == nullptr) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry* e = held.Find(&lock, /*shared=*/false);
+    if (e == nullptr) {
       return false;
     }
-    RecordHold(s);
+    RecordHold(e->acquire_ns);
     LockdepReleased(s);
-    StripeLock(s).Unlock(*h);
-    pool_.Recycle(h);
+    lock.Unlock(*e->node);
+    held.Erase(e);
     UnparkAfterRelease(s);
     return true;
   }
@@ -219,10 +226,10 @@ class LockTable {
 
   // Locks the key set's stripes (ascending); writes them into out[] and
   // returns how many.  Pass out[0..n) to UnlockStripesN() to release.
-  // All-or-nothing: if a mid-transaction acquisition throws (handle
-  // allocation under memory pressure), the stripes already taken are released
-  // before the exception propagates, so the caller never holds a partial
-  // transaction it cannot identify.
+  // All-or-nothing: if a mid-transaction acquisition throws (growing the
+  // held-lock record under memory pressure), the stripes already taken are
+  // released before the exception propagates, so the caller never holds a
+  // partial transaction it cannot identify.
   std::size_t LockKeysInto(const std::uint64_t* keys, std::size_t count,
                            std::size_t* out) {
     const std::size_t n = DistinctStripesInto(keys, count, out);
@@ -349,20 +356,25 @@ class LockTable {
   // callers that must not act before confirming ownership, e.g. the
   // combining layer's checked Unlock).
   bool HoldsStripe(std::size_t s) const {
-    return pool_.HoldsInThisContext(s);
+    return HeldHere().Find(&array_.Stripe(s), /*shared=*/false) != nullptr;
   }
 
   // Stripes this execution context currently holds (tests/diagnostics).
-  std::size_t HeldByThisContext() const { return pool_.ActiveInThisContext(); }
-  std::size_t PooledHandlesInThisContext() const {
-    return pool_.PooledInThisContext();
+  std::size_t HeldByThisContext() const {
+    return HeldHere().CountIn(&array_.Stripe(0),
+                              &array_.Stripe(array_.stripes() - 1),
+                              /*shared=*/false);
   }
 
  private:
+  // This context's held-lock record, shared by every table and adapter over
+  // the same handle type.
+  static Held& HeldHere() { return P::template PerContext<Held>(); }
+
   // Validate-all-then-release body of UnlockKeys.
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!pool_.HoldsInThisContext(stripes[i])) {
+      if (!HoldsStripe(stripes[i])) {
         throw std::logic_error(
             "locktable::LockTable: UnlockKeys of a stripe this context does "
             "not hold");
@@ -374,10 +386,10 @@ class LockTable {
   void AcquireStripe(std::size_t s, bool multi_key) {
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = telemetry::NowNs();
-      AcquireStripeImpl(s, multi_key);
+      typename Held::Entry& e = AcquireStripeImpl(s, multi_key);
       const std::uint64_t t1 = telemetry::NowNs();
       lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
-      lat_->tracker.Push(P::CpuId(), s, t1);
+      e.acquire_ns = t1;
       LockdepAcquired(s, /*trylock=*/false, multi_key, t1 - t0);
       return;
     }
@@ -416,15 +428,12 @@ class LockTable {
   }
 
   // Hold time runs from ownership (AcquireStripe/TryLockStripe completion)
-  // to the start of the release.  Best-effort: a Pop miss (tracker overflow,
-  // telemetry enabled mid-hold) records nothing.
-  void RecordHold(std::size_t s) {
-    if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
-      if (t0 != 0) {
-        lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(),
-                            telemetry::NowNs() - t0);
-      }
+  // to the start of the release.  A hold acquired while telemetry was off
+  // carries no stamp and records nothing.
+  void RecordHold(std::uint64_t acquire_ns) {
+    if (acquire_ns != 0 && lat_ != nullptr && telemetry::Enabled()) {
+      lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(),
+                          telemetry::NowNs() - acquire_ns);
     }
   }
 
@@ -476,13 +485,16 @@ class LockTable {
     }
   }
 
-  void AcquireStripeImpl(std::size_t s, bool multi_key) {
-    Handle& h = pool_.Checkout(s);
+  // Records the hold in this context's record, then acquires through the
+  // node it lends; returns the entry so the caller can stamp it.
+  typename Held::Entry& AcquireStripeImpl(std::size_t s, bool multi_key) {
     L& lock = StripeLock(s);
+    typename Held::Entry& e = HeldHere().Push(&lock, /*shared=*/false);
+    Handle& h = *e.node;
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireStripeParked(lock, h, s, multi_key);
-        return;
+        return e;
       }
     }
     if (stats_.enabled()) {
@@ -493,23 +505,23 @@ class LockTable {
         if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
           if (lock.TryLock(h)) {
             stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
-            return;
+            return e;
           }
           lock.Lock(h);
           stats_.OnAcquire(s, /*was_contended=*/true, multi_key);
-          return;
+          return e;
         }
       }
     }
     lock.Lock(h);
     stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
+    return e;
   }
 
   StripeArray<L> array_;
   std::uint32_t probe_mask_;  // stats_probe_period - 1 (period power of two)
   bool blocking_;             // immutable after construction
   int lockdep_cls_;           // lock class shared by every stripe
-  HandlePool<P, L> pool_;
   TableStats stats_;
   std::unique_ptr<TableLatency> lat_;  // null unless collect_latency
 };

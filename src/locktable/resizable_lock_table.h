@@ -56,7 +56,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "base/cacheline.h"
 #include "epoch/epoch.h"
 #include "locks/lock_api.h"
 #include "locktable/lock_table.h"
@@ -68,9 +67,10 @@
 namespace cna::locktable {
 
 // Knobs of the automatic resize policy.  Evaluated every
-// check_interval_ops operations per context, on deltas since the previous
-// evaluation; set check_interval_ops = 0 to disable automatic resizing
-// (manual TryResize stays available).
+// check_interval_ops operations per context (one count per context across
+// the tables of one type), on deltas since the previous evaluation; set
+// check_interval_ops = 0 to disable automatic resizing (manual TryResize
+// stays available).
 struct ResizePolicy {
   std::size_t min_stripes = 1;
   std::size_t max_stripes = std::size_t{1} << 20;
@@ -199,7 +199,7 @@ class ResizableLockTable {
   // Lock keeps the epoch pin it takes for the snapshot walk held until the
   // matching Unlock: the pin is one depth bump on a context-private line,
   // and holding it across the critical section is what makes Unlock's walk
-  // (and its post-release pool bookkeeping -- see Unlock) safe without a
+  // (and its post-release bookkeeping -- see Unlock) safe without a
   // second publish/validate round trip per operation.  The cost is that a
   // critical section stalls reclamation for its duration -- standard EBR,
   // and bounded by the section length.
@@ -223,7 +223,7 @@ class ResizableLockTable {
         validation_retries_.fetch_add(1, std::memory_order_relaxed);
       }
     } catch (...) {
-      // LockStripe can throw (handle-slab allocation under memory
+      // LockStripe can throw (growing the held-lock record under memory
       // pressure); a leaked pin would block epoch advance -- and thus all
       // reclamation -- forever.
       domain_.Unpin(pin);
@@ -262,11 +262,11 @@ class ResizableLockTable {
   // That pin is load-bearing past the lock-word release: the held stripe
   // itself blocks every retirement chain (held stripe -> the snapshot
   // cannot finish draining -> the migration cannot complete -> the snapshot
-  // is never retired), but only UP TO the release.  The pool bookkeeping
-  // after it (Recycle returning the handle to the snapshot's free list)
-  // would otherwise race the resizer, which can drain the stripe the
-  // instant the word is released, complete the migration, retire the
-  // snapshot, and reclaim it two epoch advances later.  Held since before
+  // is never retired), but only UP TO the release.  The bookkeeping after
+  // it (the parking-lot wakeup, which reads the snapshot's table) would
+  // otherwise race the resizer, which can drain the stripe the instant the
+  // word is released, complete the migration, retire the snapshot, and
+  // reclaim it two epoch advances later.  Held since before
   // the acquisition, the pin keeps the snapshot alive for the whole call.
   // (A caller that violates the unlock-without-lock contract holds no pin:
   // quiescent misuse still throws; misuse racing a resize walks
@@ -674,10 +674,7 @@ class ResizableLockTable {
     if (interval == 0) {
       return;
     }
-    OpCounter& c =
-        op_counters_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];
-    if (c.count.fetch_add(1, std::memory_order_relaxed) % interval !=
-        interval - 1) {
+    if (++P::template PerContext<PolicyTicks>().ops % interval != 0) {
       return;
     }
     // Epoch maintenance rides the tick: retired snapshots need *somebody*
@@ -758,8 +755,9 @@ class ResizableLockTable {
     quiet_streak_ = 0;
   }
 
-  struct alignas(kCacheLineSize) OpCounter {
-    std::atomic<std::uint64_t> count{0};
+  // Operations this context has issued, for the policy heartbeat.
+  struct PolicyTicks {
+    std::uint64_t ops = 0;
   };
 
   // RAII release of resize_busy_: ResizeLocked allocates a full stripe
@@ -775,8 +773,6 @@ class ResizableLockTable {
    private:
     std::atomic_flag& flag_;
   };
-
-  static constexpr std::size_t kMaxContexts = 1024;
 
   ResizableLockTableOptions options_;
   typename P::template Atomic<Snapshot*> current_{nullptr};
@@ -797,8 +793,6 @@ class ResizableLockTable {
   std::atomic<std::uint64_t> shrinks_{0};
   std::atomic<std::uint64_t> drained_stripes_{0};
   std::atomic<std::uint64_t> validation_retries_{0};
-
-  std::unique_ptr<OpCounter[]> op_counters_{new OpCounter[kMaxContexts]};
 
   // Declared LAST so it is destroyed FIRST: ~Domain frees any snapshot
   // still pending (leaked pins, misuse), and its RetireSnapshot deleter

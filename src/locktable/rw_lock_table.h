@@ -20,10 +20,10 @@
 //  * Per-stripe read/write/writer-wait counters (table_stats.h), off by
 //    default so the fast path carries zero instrumentation.
 //
-// Handles are pooled per execution context exactly as in the mutex table
-// (handle_pool.h), one pool per mode: a context may hold a stripe in only
-// one mode at a time, but the two pools let Unlock(key) discover the mode
-// and keep misuse (unlock of an unheld stripe) a checked error.
+// Nodes and holds live in the context's held-lock record exactly as in the
+// mutex table (locks/held_locks.h); each entry carries its mode, which lets
+// Unlock(key) discover the mode and keeps misuse (unlock of an unheld
+// stripe) a checked error.
 #ifndef CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 #define CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 
@@ -36,8 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "locks/held_locks.h"
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
 #include "locktable/lock_table.h"  // LockTableOptions
 #include "locktable/stripe_array.h"
 #include "locktable/table_latency.h"
@@ -53,6 +53,7 @@ class RwLockTable {
  public:
   using LockType = L;
   using Handle = typename L::Handle;
+  using Held = locks::HeldLocks<Handle>;
 
   static constexpr std::size_t kMaxStripes = StripeArray<L>::kMaxStripes;
   static constexpr std::size_t kInlineTxnKeys = 8;
@@ -125,8 +126,8 @@ class RwLockTable {
   }
 
   void LockSharedStripeImpl(std::size_t s) {
-    Handle& h = shared_pool_.Checkout(s);
     L& lock = StripeLock(s);
+    Handle& h = *HeldHere().Push(&lock, /*shared=*/true).node;
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireSharedParked(lock, h, s);
@@ -151,23 +152,27 @@ class RwLockTable {
   bool TryLockSharedStripe(std::size_t s) {
     static_assert(locks::SharedTryLockable<L>,
                   "TryLockShared requires a shared try-lock path");
-    Handle& h = shared_pool_.Checkout(s);
-    if (StripeLock(s).TryLockShared(h)) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry& e = held.Push(&lock, /*shared=*/true);
+    if (lock.TryLockShared(*e.node)) {
       stats_.OnReadAcquire(s, /*was_contended=*/false);
       LockdepAcquired(s, /*trylock=*/true, /*shared=*/true, /*multi_key=*/false,
                       0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    shared_pool_.Recycle(shared_pool_.Detach(s));
+    held.Erase(&e);
     return false;
   }
 
   void UnlockSharedStripe(std::size_t s) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry* e = FindHeld(held, s, /*shared=*/true);
     LockdepReleased(s);
-    Handle* h = shared_pool_.Detach(s);
-    StripeLock(s).UnlockShared(*h);
-    shared_pool_.Recycle(h);
+    lock.UnlockShared(*e->node);
+    held.Erase(e);
     if constexpr (kTableParks) {
       if (blocking_) {
         // Only a writer can be blocked by a reader, and only one can win the
@@ -195,33 +200,34 @@ class RwLockTable {
   bool TryLockExclusiveStripe(std::size_t s) {
     static_assert(locks::TryLockable<L>,
                   "TryLockExclusive requires a try-lock path");
-    Handle& h = excl_pool_.Checkout(s);
-    if (StripeLock(s).TryLock(h)) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry& e = held.Push(&lock, /*shared=*/false);
+    if (lock.TryLock(*e.node)) {
       stats_.OnWriteAcquire(s, /*waited=*/false);
       if (lat_ != nullptr && telemetry::Enabled()) {
-        lat_->tracker.Push(P::CpuId(), s, telemetry::NowNs());
+        e.acquire_ns = telemetry::NowNs();
       }
       LockdepAcquired(s, /*trylock=*/true, /*shared=*/false,
                       /*multi_key=*/false, 0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    excl_pool_.Recycle(excl_pool_.Detach(s));
+    held.Erase(&e);
     return false;
   }
 
   void UnlockExclusiveStripe(std::size_t s) {
+    L& lock = StripeLock(s);
+    Held& held = HeldHere();
+    typename Held::Entry* e = FindHeld(held, s, /*shared=*/false);
     LockdepReleased(s);
-    if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
-      if (t0 != 0) {
-        lat_->write_hold.RecordAt(P::CurrentSocket(), P::CpuId(),
-                                  telemetry::NowNs() - t0);
-      }
+    if (e->acquire_ns != 0 && lat_ != nullptr && telemetry::Enabled()) {
+      lat_->write_hold.RecordAt(P::CurrentSocket(), P::CpuId(),
+                                telemetry::NowNs() - e->acquire_ns);
     }
-    Handle* h = excl_pool_.Detach(s);
-    StripeLock(s).Unlock(*h);
-    excl_pool_.Recycle(h);
+    lock.Unlock(*e->node);
+    held.Erase(e);
     if constexpr (kTableParks) {
       if (blocking_) {
         // A whole reader convoy may have parked behind this writer; all of
@@ -235,10 +241,10 @@ class RwLockTable {
   // holds the key's stripe in.  Throws std::logic_error if it holds neither.
   void Unlock(std::uint64_t key) {
     const std::size_t s = StripeOf(key);
-    if (excl_pool_.HoldsInThisContext(s)) {
+    if (Holds(s, /*shared=*/false)) {
       UnlockExclusiveStripe(s);
     } else {
-      UnlockSharedStripe(s);  // Detach throws if not held in this mode either
+      UnlockSharedStripe(s);  // throws if not held in this mode either
     }
   }
 
@@ -375,17 +381,37 @@ class RwLockTable {
     return stats_.stripe(s);
   }
 
-  std::size_t SharedHeldByThisContext() const {
-    return shared_pool_.ActiveInThisContext();
-  }
-  std::size_t ExclusiveHeldByThisContext() const {
-    return excl_pool_.ActiveInThisContext();
-  }
+  std::size_t SharedHeldByThisContext() const { return HeldInTable(true); }
+  std::size_t ExclusiveHeldByThisContext() const { return HeldInTable(false); }
 
  private:
+  // This context's held-lock record (see LockTable::HeldHere).
+  static Held& HeldHere() { return P::template PerContext<Held>(); }
+
+  bool Holds(std::size_t s, bool shared) const {
+    return HeldHere().Find(&array_.Stripe(s), shared) != nullptr;
+  }
+
+  std::size_t HeldInTable(bool shared) const {
+    return HeldHere().CountIn(&array_.Stripe(0),
+                              &array_.Stripe(array_.stripes() - 1), shared);
+  }
+
+  // The entry for this context's hold of stripe `s` in the given mode;
+  // throws if there is none (unlock without a matching lock).
+  typename Held::Entry* FindHeld(Held& held, std::size_t s, bool shared) {
+    typename Held::Entry* e = held.Find(&array_.Stripe(s), shared);
+    if (e == nullptr) {
+      throw std::logic_error(
+          "locktable::RwLockTable: unlock of a stripe this context does not "
+          "hold in that mode");
+    }
+    return e;
+  }
+
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!excl_pool_.HoldsInThisContext(stripes[i])) {
+      if (!Holds(stripes[i], /*shared=*/false)) {
         throw std::logic_error(
             "locktable::RwLockTable: UnlockKeys of a stripe this context "
             "does not hold exclusively");
@@ -397,10 +423,10 @@ class RwLockTable {
   void AcquireExclusiveStripe(std::size_t s, bool multi_key = false) {
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = telemetry::NowNs();
-      AcquireExclusiveStripeImpl(s);
+      typename Held::Entry& e = AcquireExclusiveStripeImpl(s);
       const std::uint64_t t1 = telemetry::NowNs();
       lat_->write_wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
-      lat_->tracker.Push(P::CpuId(), s, t1);
+      e.acquire_ns = t1;
       LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key,
                       t1 - t0);
       return;
@@ -409,13 +435,16 @@ class RwLockTable {
     LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key, 0);
   }
 
-  void AcquireExclusiveStripeImpl(std::size_t s) {
-    Handle& h = excl_pool_.Checkout(s);
+  // Records the hold, then acquires through the node the record lends;
+  // returns the entry so the caller can stamp it.
+  typename Held::Entry& AcquireExclusiveStripeImpl(std::size_t s) {
     L& lock = StripeLock(s);
+    typename Held::Entry& e = HeldHere().Push(&lock, /*shared=*/false);
+    Handle& h = *e.node;
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireExclusiveParked(lock, h, s);
-        return;
+        return e;
       }
     }
     if (stats_.enabled()) {
@@ -424,15 +453,16 @@ class RwLockTable {
       if constexpr (locks::TryLockable<L>) {
         if (lock.TryLock(h)) {
           stats_.OnWriteAcquire(s, /*waited=*/false);
-          return;
+          return e;
         }
         lock.Lock(h);
         stats_.OnWriteAcquire(s, /*waited=*/true);
-        return;
+        return e;
       }
     }
     lock.Lock(h);
     stats_.OnWriteAcquire(s, /*waited=*/false);
+    return e;
   }
 
   // Spin-then-park writer acquisition (blocking mode).  Same shape as
@@ -443,7 +473,7 @@ class RwLockTable {
       stats_.OnWriteAcquire(s, /*waited=*/false);
       return;
     }
-    for (int i = 0; i < parking::kBlockingSpinBudget; ++i) {
+    for (std::uint32_t i = 0; i < parking::kBlockingSpinBudget; ++i) {
       P::Pause();
       if (lock.TryLock(h)) {
         stats_.OnWriteAcquire(s, /*waited=*/true);
@@ -471,7 +501,7 @@ class RwLockTable {
       stats_.OnReadAcquire(s, /*was_contended=*/false);
       return;
     }
-    for (int i = 0; i < parking::kBlockingSpinBudget; ++i) {
+    for (std::uint32_t i = 0; i < parking::kBlockingSpinBudget; ++i) {
       P::Pause();
       if (lock.TryLockShared(h)) {
         stats_.OnReadAcquire(s, /*was_contended=*/true);
@@ -529,8 +559,6 @@ class RwLockTable {
   StripeArray<L> array_;
   bool blocking_;  // immutable after construction
   int lockdep_cls_;  // lock class shared by every stripe
-  HandlePool<P, L> shared_pool_;
-  HandlePool<P, L> excl_pool_;
   RwTableStats stats_;
   std::unique_ptr<RwTableLatency> lat_;  // null unless collect_latency
 };

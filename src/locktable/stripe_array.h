@@ -83,6 +83,9 @@ class StripeArray {
   L& Stripe(std::size_t s) {
     return *std::launder(reinterpret_cast<L*>(base_ + s * stride_));
   }
+  const L& Stripe(std::size_t s) const {
+    return *std::launder(reinterpret_cast<const L*>(base_ + s * stride_));
+  }
 
  private:
   static std::size_t ValidatedStripes(std::size_t v) {

@@ -5,6 +5,7 @@
 //   * Pause()          -- polite spin-wait hint,
 //   * CurrentSocket()  -- the paper's current_numa_node(),
 //   * Random()/TlsSlot() -- keep_lock_local() support,
+//   * PerContext<T>()  -- one T per execution context (thread or fiber),
 //   * OnDataAccess()   -- critical-section data-traffic hook (no-op here; the
 //                         hardware's caches do the real thing).
 // SimPlatform (src/sim/sim_platform.h) implements the same interface against
@@ -61,6 +62,14 @@ struct RealPlatform {
 
   static std::uint64_t& TlsSlot() {
     return platform::ThreadContext::Current().TlsSlot();
+  }
+
+  // The calling thread's T, default-constructed on first use and destroyed
+  // at thread exit (e.g. locks::HeldLocks, the per-context held-lock record).
+  template <typename T>
+  static T& PerContext() {
+    thread_local T value;
+    return value;
   }
 
   // Dense id of the executing thread; stands in for smp_processor_id() in the

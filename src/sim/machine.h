@@ -39,6 +39,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -155,7 +156,15 @@ struct Fiber {
   std::uint64_t park_deadline_ns = 0;
   bool park_woken = false;
   Machine* machine = nullptr;
+  // Machine::FiberLocal storage: (type key, object with its deleter),
+  // destroyed with the fiber.  Plain memory, never charged.
+  std::vector<std::pair<const void*, std::unique_ptr<void, void (*)(void*)>>>
+      locals;
 };
+
+// One address per type: the key of that type's FiberLocal slot.
+template <typename T>
+inline constexpr char kFiberLocalKey = 0;
 
 }  // namespace internal
 
@@ -242,6 +251,23 @@ class Machine {
   std::uint64_t NowNs() const;           // current fiber's local clock
   std::uint64_t Random();
   std::uint64_t& TlsSlot();
+
+  // The current fiber's T, default-constructed on first use and destroyed
+  // with the machine: SimPlatform::PerContext, the simulator's thread_local.
+  template <typename T>
+  T& FiberLocal() {
+    auto& locals = Cur().locals;
+    for (auto& [key, object] : locals) {
+      if (key == &internal::kFiberLocalKey<T>) {
+        return *static_cast<T*>(object.get());
+      }
+    }
+    locals.emplace_back(
+        &internal::kFiberLocalKey<T>,
+        std::unique_ptr<void, void (*)(void*)>(
+            new T(), [](void* p) { delete static_cast<T*>(p); }));
+    return *static_cast<T*>(locals.back().second.get());
+  }
 
   const MachineConfig& config() const { return config_; }
   const CacheStats& TotalStats() const { return total_stats_; }

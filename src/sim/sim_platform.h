@@ -43,6 +43,17 @@ struct SimPlatform {
     return fallback;
   }
 
+  // One T per fiber (see Machine::FiberLocal); code running outside any
+  // fiber gets one per OS thread, mirroring RealPlatform.
+  template <typename T>
+  static T& PerContext() {
+    if (sim::Machine* m = ActiveMachine()) {
+      return m->FiberLocal<T>();
+    }
+    thread_local T outside;
+    return outside;
+  }
+
   static int CpuId() {
     if (sim::Machine* m = ActiveMachine()) {
       return m->CurrentCpu();

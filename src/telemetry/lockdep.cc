@@ -47,9 +47,11 @@ int InternIn(std::string_view name, char (*names)[kNameBytes], int cap,
 }
 
 // ---------------------------------------------------------------------------
-// Held-lock stacks: 256 padded slots indexed by ctx % kHeldSlots (the
-// HandlePool/HoldTracker idiom -- thread_local is wrong under the fiber
-// simulator).  The TAS guard is never held across a yield point.
+// Held-lock stacks: 256 padded slots indexed by ctx % kHeldSlots.  The
+// callers pass an int context id and are not all platform templates, so
+// P::PerContext (locks/held_locks.h) is out of reach here; plain
+// thread_local would be wrong under the fiber simulator.  The TAS guard is
+// never held across a yield point.
 // ---------------------------------------------------------------------------
 struct HeldEntry {
   std::uint16_t cls = 0;
@@ -443,7 +445,7 @@ void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance) {
     const std::uint64_t hold =
         now > slot.e[i].acquire_ns ? now - slot.e[i].acquire_ns : 0;
     RecordFold(slot, i, hold, slot.e[i].wait_ns);
-    // Preserve stack order (unlike HoldTracker's swap-with-last): the
+    // Preserve stack order (no swap-with-last): the
     // remaining entries still describe this context's acquisition chain.
     for (int j = i; j + 1 < slot.n; ++j) {
       slot.e[j] = slot.e[j + 1];

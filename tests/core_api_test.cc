@@ -12,6 +12,7 @@
 #include "core/pthread_api.h"
 #include "core/registry.h"
 #include "locks/cna.h"
+#include "locks/held_locks.h"
 #include "platform/thread_context.h"
 #include "platform/real_platform.h"
 
@@ -262,17 +263,35 @@ std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, RegistryLockStress,
                          ::testing::ValuesIn(AllLockNames()), SanitizeName);
 
-// ---------- Handle-pool behaviour of the adapter ----------
+// ---------- Node reuse in the adapter ----------
 
-TEST(LockAdapter, HandlePoolIsReusedAcrossAcquisitions) {
-  // The per-context pool must not grow without bound: repeated non-nested
-  // acquisitions reuse one handle (mirrors the kernel's fixed 4 per CPU).
-  core::LockAdapter<RealPlatform, locks::CnaLock<RealPlatform>> adapter("cna");
+// The adapter keeps no per-context arrays of its own: an 8-byte cna mutex
+// costs a small object, not a table sized for every possible thread.
+static_assert(
+    sizeof(core::LockAdapter<RealPlatform, locks::CnaLock<RealPlatform>>) <
+    1024);
+
+TEST(LockAdapter, HeldRecordReusesOneNodeAcrossAcquisitions) {
+  // Repeated non-nested acquisitions reuse one node of the context's
+  // held-lock record and never grow it (the kernel's fixed nodes per CPU).
+  using Cna = locks::CnaLock<RealPlatform>;
+  using Held = locks::HeldLocks<Cna::Handle>;
+  core::LockAdapter<RealPlatform, Cna> adapter("cna");
+  Held& held = RealPlatform::PerContext<Held>();
+  const std::size_t nodes_before = held.nodes();
+  const Cna::Handle* first = nullptr;
   for (int i = 0; i < 10'000; ++i) {
     adapter.Lock();
+    const Held::Entry* e = held.Find(&adapter.impl(), /*shared=*/false);
+    ASSERT_NE(e, nullptr);
+    if (first == nullptr) {
+      first = e->node;
+    }
+    ASSERT_EQ(e->node, first);
     adapter.Unlock();
   }
-  SUCCEED();  // absence of OOM/growth is validated by the run itself
+  EXPECT_EQ(held.nodes(), nodes_before);
+  EXPECT_EQ(held.Find(&adapter.impl(), /*shared=*/false), nullptr);
 }
 
 TEST(LockAdapter, FailedTryLockReturnsHandleToPool) {

@@ -11,7 +11,9 @@
 #include "apps/mini_leveldb.h"
 #include "apps/sharded_kv.h"
 #include "base/rng.h"
+#include "base/cacheline.h"
 #include "locks/cna.h"
+#include "locks/held_locks.h"
 #include "locks/mcs.h"
 #include "locktable/lock_table.h"
 #include "platform/real_platform.h"
@@ -130,16 +132,74 @@ TEST(LockTable, UnlockOfUnheldStripeThrows) {
   EXPECT_THROW(table.Unlock(3), std::logic_error);
 }
 
-TEST(LockTable, HandlePoolReusesNodesAcrossAcquisitions) {
+TEST(LockTable, HeldRecordReusesOneNodeAcrossAcquisitions) {
   RealTable table({.stripes = 16});
+  using Held = locks::HeldLocks<RealTable::Handle>;
+  Held& held = RealPlatform::PerContext<Held>();
+  const std::size_t nodes_before = held.nodes();
+  const RealTable::Handle* first = nullptr;
   for (int i = 0; i < 100; ++i) {
-    table.Lock(static_cast<std::uint64_t>(i));
-    table.Unlock(static_cast<std::uint64_t>(i));
+    const auto key = static_cast<std::uint64_t>(i);
+    table.Lock(key);
+    const Held::Entry* e =
+        held.Find(&table.StripeLock(table.StripeOf(key)), /*shared=*/false);
+    ASSERT_NE(e, nullptr);
+    if (first == nullptr) {
+      first = e->node;
+    }
+    // Sequential acquisitions -- on different stripes -- reuse one node.
+    EXPECT_EQ(e->node, first);
+    table.Unlock(key);
   }
-  // One slab refill (16 handles) served all 100 sequential acquisitions: the
-  // free list still holds exactly that slab's worth, no further growth.
-  using Pool = locktable::HandlePool<RealPlatform, locks::CnaLock<RealPlatform>>;
-  EXPECT_EQ(table.PooledHandlesInThisContext(), Pool::kSlabHandles);
+  EXPECT_EQ(held.nodes(), nodes_before);  // and nothing grew
+  EXPECT_EQ(table.HeldByThisContext(), 0u);
+}
+
+// ---------- The held-lock record itself ----------
+
+TEST(HeldLocks, OutOfOrderReleaseAndOverflowKeepNodesStable) {
+  using Held = locks::HeldLocks<RealCna::Handle>;
+  Held held;
+  int words[40];
+  std::vector<RealCna::Handle*> nodes;
+  for (int& w : words) {
+    nodes.push_back(held.Push(&w, /*shared=*/false).node);
+  }
+  // Past the inline nodes the record grows chunks; every node is distinct,
+  // on its own line, and keeps its address while later pushes grow it.
+  EXPECT_GT(held.nodes(), Held::kInlineNodes);
+  EXPECT_EQ(std::set<RealCna::Handle*>(nodes.begin(), nodes.end()).size(),
+            nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nodes[i]) % kCacheLineSize, 0u);
+    const Held::Entry* e = held.Find(&words[i], /*shared=*/false);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->node, nodes[i]);
+  }
+  // Release out of order; the freed node is the next one lent.
+  Held::Entry* third = held.Find(&words[3], /*shared=*/false);
+  ASSERT_NE(third, nullptr);
+  held.Erase(third);
+  EXPECT_EQ(held.Find(&words[3], /*shared=*/false), nullptr);
+  const Held::Entry* fourth = held.FindNode(nodes[4]);
+  ASSERT_NE(fourth, nullptr);
+  EXPECT_EQ(fourth->lock, &words[4]);
+  EXPECT_EQ(held.Push(&words[3], /*shared=*/true).node, nodes[3]);
+  EXPECT_EQ(held.Find(&words[3], /*shared=*/false), nullptr);  // mode counts
+  EXPECT_EQ(held.CountIn(&words[0], &words[39], /*shared=*/false), 39u);
+  EXPECT_EQ(held.CountIn(&words[0], &words[39], /*shared=*/true), 1u);
+}
+
+TEST(HeldLocks, EmptyHandlesStoreNoNodesButKeepTheOwnershipCheck) {
+  struct Stateless {};
+  locks::HeldLocks<Stateless> held;
+  int a = 0;
+  held.Push(&a, /*shared=*/false);
+  EXPECT_EQ(held.nodes(), 0u);
+  locks::HeldLocks<Stateless>::Entry* e = held.Find(&a, false);
+  ASSERT_NE(e, nullptr);
+  held.Erase(e);
+  EXPECT_EQ(held.Find(&a, false), nullptr);
 }
 
 // ---------- Guard / MultiGuard ----------

@@ -190,6 +190,22 @@ TEST(ReshardingStress, TransfersAcrossResizesConserveTotal) {
 
 // --- The automatic policy reacts to measured contention ---
 
+// The shipped CNA lock, counting failed try-locks.  With
+// stats_probe_period = 1 every table acquisition probes with a try-lock
+// first, so a failed try-lock is a contended acquisition the stats will
+// count once it completes (resize drains probe the same way).
+std::atomic<std::uint64_t> failed_probes{0};
+
+struct ProbeCountingCna : locks::CnaLock<RealPlatform> {
+  bool TryLock(Handle& h) {
+    if (locks::CnaLock<RealPlatform>::TryLock(h)) {
+      return true;
+    }
+    failed_probes.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+};
+
 TEST(ReshardingStress, PolicyGrowsUnderUniformContentionAndShrinksWhenQuiet) {
   locktable::ResizableLockTableOptions o;
   o.stripes = 4;
@@ -201,29 +217,46 @@ TEST(ReshardingStress, PolicyGrowsUnderUniformContentionAndShrinksWhenQuiet) {
   o.policy.grow_contention = 0.05;
   o.policy.shrink_contention = 0.02;
   o.stats_probe_period = 1;  // exact contention counts: deterministic signal
-  RealResizable table(o);
+  locktable::ResizableLockTable<RealPlatform, ProbeCountingCna> table(o);
 
   // Contended phase.  Real threads on few cores rarely collide on empty
-  // critical sections (a preempted holder is the only overlap), so one op
-  // in eight yields *inside* the critical section: the holder hands the
-  // core away while holding, and every other worker that runs meanwhile
-  // probes a held stripe -- a contention window the policy must see,
-  // whatever the core count.
+  // critical sections, and a holder that merely yields may never overlap a
+  // peer when the host is loaded.  So one op in eight (one worker at a
+  // time) keeps its stripe until a peer's stats probe has found a stripe
+  // held -- a contended acquisition the policy will count, however the
+  // threads are scheduled.  A holder whose peers have all finished stops
+  // waiting.  The workers share one budget of operations, so none runs on
+  // alone at the end: a lone worker sees no contention, and the policy
+  // would shrink the table back before the phase is over.
   constexpr int kWorkers = 3;
   constexpr int kItersPerWorker = 4000;
+  std::atomic<int> ops_left{kWorkers * kItersPerWorker};
+  std::atomic<bool> holding{false};
+  std::atomic<int> finished{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kWorkers; ++t) {
     workers.emplace_back([&, t] {
       XorShift64 rng =
           XorShift64::FromSeed(0x9090 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kItersPerWorker; ++i) {
+      while (ops_left.fetch_sub(1) > 0) {
         const std::uint64_t key = rng.NextBelow(kKeyRange);
+        // Sampled before the acquisition: peers that queue on this stripe
+        // between the acquisition and a later sample would leave the holder
+        // waiting for a further probe that may never come.
+        const std::uint64_t seen = failed_probes.load();
         table.Lock(key);
-        if (rng.NextBelow(8) == 0) {
-          std::this_thread::yield();
+        bool idle = false;
+        if (rng.NextBelow(8) == 0 &&
+            holding.compare_exchange_strong(idle, true)) {
+          while (failed_probes.load() == seen &&
+                 finished.load() < kWorkers - 1) {
+            std::this_thread::yield();
+          }
+          holding.store(false);
         }
         table.Unlock(key);
       }
+      finished.fetch_add(1);
     });
   }
   for (auto& th : workers) {

@@ -14,6 +14,11 @@
 
 #include "base/rng.h"
 #include "core/pthread_api.h"
+#include "locks/cna.h"
+#include "locks/cna_rwlock.h"
+#include "locktable/lock_table.h"
+#include "locktable/rw_lock_table.h"
+#include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
 #include "telemetry/export.h"
@@ -385,21 +390,75 @@ TEST(TelemetryRegistry, StableAddressesAndSortedSnapshot) {
   EXPECT_EQ(reg.Snapshot().counters[0].value, 0u);
 }
 
-TEST(TelemetryHoldTracker, PushPopAndOverflow) {
-  telemetry::HoldTracker t;
-  t.Push(3, /*key=*/7, /*ts=*/1000);
-  EXPECT_EQ(t.Pop(3, 7), 1000u);
-  EXPECT_EQ(t.Pop(3, 7), 0u);  // already popped
-  EXPECT_EQ(t.Pop(3, 99), 0u);  // never pushed
-  // Overflow: pushes past kDepth are dropped, pops of the survivors work.
-  for (int i = 0; i < telemetry::HoldTracker::kDepth + 5; ++i) {
-    t.Push(5, static_cast<std::uint64_t>(i), 100u + static_cast<unsigned>(i));
+// Hold-time telemetry pairs every release with its own acquisition through
+// the context's held-lock entry: exactly one hold sample per timed
+// acquisition, whatever the release order and however deep the nesting.
+TEST(TelemetryHoldTime, ExactlyOneSamplePerAcquisition) {
+  using Table =
+      locktable::LockTable<RealPlatform, locks::CnaLock<RealPlatform>>;
+  using RwTable = locktable::RwLockTable<
+      RealPlatform,
+      locks::CnaRwLock<RealPlatform, locks::CnaRwCompactConfig>>;
+  telemetry::SetEnabled(true);
+  telemetry::Histogram& hold =
+      telemetry::Registry::Global().GetHistogram("locktable.hold_ns");
+  telemetry::Histogram& write_hold =
+      telemetry::Registry::Global().GetHistogram("rwtable.write_hold_ns");
+  const std::uint64_t hold0 = hold.Snapshot().count;
+  const std::uint64_t write_hold0 = write_hold.Snapshot().count;
+
+  Table table({.stripes = 1024, .collect_latency = true});
+  RwTable rw({.stripes = 1024, .collect_latency = true});
+  // Twenty keys on twenty distinct stripes (both tables hash alike).
+  std::uint64_t keys[20];
+  for (std::uint64_t k = 0, n = 0; n < 20; ++k) {
+    bool fresh = true;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      fresh = fresh && table.StripeOf(keys[i]) != table.StripeOf(k);
+    }
+    if (fresh) {
+      keys[n++] = k;
+    }
   }
-  for (int i = 0; i < telemetry::HoldTracker::kDepth; ++i) {
-    EXPECT_EQ(t.Pop(5, static_cast<std::uint64_t>(i)),
-              100u + static_cast<unsigned>(i));
+  std::uint64_t acquisitions = 0;
+  std::uint64_t write_acquisitions = 0;
+
+  // Release out of acquisition order: a, b, c taken, a released first.
+  table.Lock(keys[0]);
+  ASSERT_TRUE(table.TryLock(keys[1]));
+  table.Lock(keys[2]);
+  table.Unlock(keys[0]);
+  table.Unlock(keys[2]);
+  table.Unlock(keys[1]);
+  acquisitions += 3;
+
+  // A single-key hold that outlives a 20-key MultiGuard nested inside it,
+  // and a transaction deeper than any fixed per-context table.
+  table.Lock(keys[19]);
+  {
+    Table::MultiGuard g(table, keys, 19);
+    acquisitions += g.size();
+    table.Unlock(keys[19]);  // the outer hold ends inside the transaction
   }
-  EXPECT_EQ(t.Pop(5, telemetry::HoldTracker::kDepth), 0u);
+  acquisitions += 1;
+  {
+    RwTable::MultiGuard g(rw, keys, 20);
+    write_acquisitions += g.size();
+  }
+  rw.LockExclusive(keys[0]);
+  ASSERT_TRUE(rw.TryLockExclusive(keys[1]));
+  rw.LockShared(keys[2]);  // shared holds have no hold histogram
+  rw.UnlockExclusive(keys[0]);
+  rw.UnlockShared(keys[2]);
+  rw.Unlock(keys[1]);
+  write_acquisitions += 2;
+  telemetry::SetEnabled(false);
+
+  EXPECT_GT(acquisitions, 20u);
+  EXPECT_EQ(hold.Snapshot().count - hold0, acquisitions);
+  EXPECT_EQ(write_hold.Snapshot().count - write_hold0, write_acquisitions);
+  EXPECT_EQ(table.HeldByThisContext(), 0u);
+  EXPECT_EQ(rw.ExclusiveHeldByThisContext(), 0u);
 }
 
 // Concurrent recording, real threads: every record lands in exactly one
